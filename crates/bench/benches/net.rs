@@ -12,10 +12,12 @@
 //! true request latency, not window/width). The headline
 //! `speedup_vs_text` is binary-pipelined throughput over text
 //! throughput and must reach 2x in full mode (`pipelined_2x_vs_text`,
-//! gated exactly by `connectit-bench check`); the event loop's
-//! cross-connection batching is proven by `coalesce_width_gt1`, read
-//! from the service's own `net_coalesce_width` histogram after the
-//! pipelined run.
+//! gated exactly by `connectit-bench check`). Text rides the same event
+//! loop and executor as binary, so text throughput must stay within
+//! 1.25x of binary at depth 1 (`text_within_1_25x_binary`, full mode,
+//! gated exactly). The event loop's cross-connection batching is proven
+//! by `coalesce_width_gt1`, read from the service's own
+//! `net_coalesce_width` histogram after the pipelined run.
 //!
 //! Prints a table and emits `BENCH_net.json`. Accepts the
 //! criterion-style `--test` flag (tiny sizes, timing fields null — no
@@ -290,6 +292,7 @@ fn main() {
     }
 
     let text_ops = results[0].1.ops_per_sec;
+    let bin_ops = results[1].1.ops_per_sec;
     let pipe_ops = results[2].1.ops_per_sec;
     let speedup = pipe_ops / text_ops.max(1e-9);
     let total_mismatches: u64 = results.iter().map(|(_, r)| r.mismatches).sum();
@@ -318,10 +321,16 @@ fn main() {
     assert_eq!(total_mismatches, 0, "oracle mismatches over the wire");
     assert!(coalesce_width_gt1, "pipelined run never coalesced more than one request");
     let pipelined_2x = speedup >= 2.0;
+    let text_within_1_25x = text_ops * 1.25 >= bin_ops;
     if !test_mode {
         assert!(
             pipelined_2x,
             "binary-pipelined is only {speedup:.2}x text at {conns} connections (need >= 2x)"
+        );
+        assert!(
+            text_within_1_25x,
+            "binary depth 1 is {:.2}x text at {conns} connections (need <= 1.25x)",
+            bin_ops / text_ops.max(1e-9)
         );
     }
 
@@ -352,7 +361,10 @@ fn main() {
     let flag_json = if test_mode {
         String::new()
     } else {
-        format!("  \"pipelined_2x_vs_text\": {pipelined_2x},\n")
+        format!(
+            "  \"pipelined_2x_vs_text\": {pipelined_2x},\n  \
+             \"text_within_1_25x_binary\": {text_within_1_25x},\n"
+        )
     };
     let json = format!(
         "{{\n  \"bench\": \"net\",\n  \"test_mode\": {test_mode},\n  \"n\": {n},\n  \

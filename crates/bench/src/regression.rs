@@ -259,13 +259,15 @@ pub fn gate_for(leaf: &str) -> Option<(Direction, Option<f64>)> {
         "overhead_within_bound" => Some((Direction::Higher, Some(1.0))),
         "overhead_ratio" => Some((Direction::Lower, None)),
         // Networking: the pipelined-binary-vs-text speedup holds at the
-        // default tolerance, and the two behavior flags (2x reached,
-        // cross-connection coalescing observed) gate exactly. Test-mode
-        // runs emit `speedup_vs_text: null` (skipped) and omit the 2x
-        // flag (one-sided, informational) — timing claims are full-mode
-        // only; the flags and `mismatches` still gate in CI.
+        // default tolerance, and the behavior flags (2x reached, text
+        // within 1.25x of binary at depth 1, cross-connection coalescing
+        // observed) gate exactly. Test-mode runs emit
+        // `speedup_vs_text: null` (skipped) and omit the two timing flags
+        // (one-sided, informational) — timing claims are full-mode only;
+        // the coalescing flag and `mismatches` still gate in CI.
         "speedup_vs_text" => Some((Direction::Higher, None)),
         "pipelined_2x_vs_text" => Some((Direction::Higher, Some(1.0))),
+        "text_within_1_25x_binary" => Some((Direction::Higher, Some(1.0))),
         "coalesce_width_gt1" => Some((Direction::Higher, Some(1.0))),
         // Analytics: the delta-maintained publish-path count must keep
         // beating the O(n) scan it replaced. Test-mode runs emit `null`

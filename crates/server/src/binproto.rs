@@ -527,7 +527,8 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// A decoded response (the server-to-client half of [`Reply`]'s bodies).
+/// A response, whichever door carries it: [`encode_reply`] frames it for
+/// the binary door, the text door spells it as reply lines.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Reply {
     /// OK with no body (`I`, `D`, `PING`).
@@ -598,6 +599,12 @@ pub enum Reply {
     },
     /// ERR with the text-protocol message spelling.
     Err(String),
+    /// A one-line text body (`ROLE`, `STATS`, `WALSTATS`). Text door only:
+    /// no binary verb produces it.
+    Line(String),
+    /// A multi-line text dump (`METRICS`, `TRACE`, `SUBS`). Text door
+    /// only: no binary verb produces it.
+    Lines(Vec<String>),
 }
 
 /// Encodes a response frame payload: `corr|status|body`.
@@ -669,6 +676,16 @@ pub fn encode_reply(corr: u64, reply: &Reply) -> Vec<u8> {
             p.push(STATUS_OK);
             p.extend_from_slice(&id.to_le_bytes());
             p.extend_from_slice(&epoch.to_le_bytes());
+        }
+        // Text-only bodies never meet a binary request; raw UTF-8 keeps
+        // the encoder total.
+        Reply::Line(s) => {
+            p.push(STATUS_OK);
+            p.extend_from_slice(s.as_bytes());
+        }
+        Reply::Lines(lines) => {
+            p.push(STATUS_OK);
+            p.extend_from_slice(lines.join("\n").as_bytes());
         }
     }
     p

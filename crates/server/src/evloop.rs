@@ -10,16 +10,22 @@
 //!
 //! A shard reads the first byte of each adopted connection: `0xCC` (the
 //! [`crate::binproto::STREAM_MAGIC`] opener, which no text verb starts
-//! with) selects the in-loop binary protocol; anything else hands the
-//! socket — sniffed bytes replayed — to a dedicated text thread running
-//! the unchanged line protocol, so the text wire format stays stable on
-//! the same port.
+//! with) selects the binary codec; anything else selects the text codec
+//! ([`crate::net`]). Both decode into one request model
+//! (`net::Request`; binary frames decode into a subset of the
+//! text verbs) and run through one executor, so the two doors differ only
+//! in framing and in how many requests a connection may have in flight.
+//! A binary connection pipelines: replies complete out of order, matched
+//! by correlation id. A text connection runs one request at a time —
+//! later lines wait in its line assembler until the reply is queued —
+//! so replies come in request order and a `Q` after an `I` on one
+//! connection sees the `I`.
 //!
 //! ## Cross-connection batch execution
 //!
 //! The perf move this module exists for: each poll round, a shard drains
-//! every ready connection's frames *first*, then executes the round's
-//! decoded requests in two grouped strokes:
+//! every ready connection's frames and text requests *first*, then
+//! executes the round's decoded requests in two grouped strokes:
 //!
 //! - all `Q`/`QG` reads (and, on a follower, query-only `B` bodies) go
 //!   through **one** [`crate::service::Client::query_many_tagged`] call —
@@ -27,10 +33,13 @@
 //!   collected, across all connections;
 //! - all `I`/`D`/`B` updates concatenate into **one**
 //!   [`crate::service::Client::submit_tagged_async`] group per round, so
-//!   the batch former sees one submission where thread-per-connection
-//!   served dozens, and the shard never parks waiting for the batch — the
+//!   the batch former sees one submission where per-connection clients
+//!   would send dozens, and the shard never parks waiting for the batch — the
 //!   ticket's completion callback wakes the poll and answers are routed
 //!   back per correlation id (responses complete out of order by design).
+//!
+//! A text connection whose reply is queued gets its next buffered request
+//! into a follow-up round at once, without waiting for readiness.
 //!
 //! The coalesce width (requests per grouped stroke) is recorded in
 //! `net_coalesce_width`; per-connection in-flight depth in
@@ -42,28 +51,35 @@
 //! Responses drain greedily; leftovers queue per connection and drive
 //! `WRITABLE` interest. A write queue above [`NetConfig::max_wbuf`] drops
 //! read interest until the peer drains it, bounding memory per slow
-//! reader. Frame-level damage answers a correlation-id-0 `ERR` frame and
-//! closes with a typed `bad-frame` reason; idle connections (when
-//! [`NetConfig::idle_timeout`] is set) close `idle-timeout`; every close
-//! lands in the flight recorder. Blocking verbs (`WAIT`, `QUIESCE`) are
-//! offloaded to short-lived helper threads so a barrier never stalls a
-//! shard's other connections.
+//! reader; a text connection likewise stops reading while its unparsed
+//! input holds a full line cap behind a request in flight. Frame-level
+//! damage answers a correlation-id-0 `ERR` frame and closes with a typed
+//! `bad-frame` reason, text framing damage its typed text reasons; idle
+//! connections (when [`NetConfig::idle_timeout`] is set) close
+//! `idle-timeout`; every close lands in the flight recorder. Verbs that
+//! can block on an epoch, a rebuild, an fsync or the WAL lock (`WAIT`,
+//! `QUIESCE`, `FLUSH`, `SNAPSHOT`, `WALSTATS`) are offloaded to
+//! short-lived helper threads so a barrier never stalls a shard's other
+//! connections. Subscription events share the connection's one write
+//! queue with its replies.
 
 use crate::binproto::{
-    self, encode_event, encode_reply, frame, BinRequest, FrameAssembler, Reply, RequestError,
-    SNIFF_BYTE,
+    self, encode_event, encode_reply, frame, FrameAssembler, Reply, RequestError, SNIFF_BYTE,
 };
-use crate::net::{handle_connection, ServerShared, TcpServer};
+use crate::net::{
+    encode_text_event, encode_text_reply, Decoded, LineAssembler, Request, ServerShared, TcpServer,
+    MAX_LINE_BYTES,
+};
 use crate::obs::{CloseReason, Event, Gauge, Obs};
 use crate::service::{Client, Role, Service, ServiceError, SubmitTicket};
-use crate::subs::{SubEvent, SubSink};
+use crate::subs::{SubEvent, SubKind, SubSink};
 use connectit::Update;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,11 +94,12 @@ pub struct NetConfig {
     /// Write-queue cap per connection: above it, read interest is dropped
     /// until the peer drains, so one slow reader cannot balloon memory.
     pub max_wbuf: usize,
-    /// Pending subscription events a **text** connection's push queue may
-    /// hold before the server declares the consumer too slow and closes
-    /// the connection with a typed `sub-overflow`. Binary connections are
-    /// bounded by [`NetConfig::max_wbuf`] instead: an event append that
-    /// pushes the write queue past it closes the connection the same way.
+    /// Subscription events a **text** connection may hold delivered but
+    /// not yet written to its socket before the server declares the
+    /// consumer too slow and closes the connection with a typed
+    /// `sub-overflow`. Binary connections are bounded by
+    /// [`NetConfig::max_wbuf`] instead: an event append that pushes the
+    /// write queue past it closes the connection the same way.
     pub sub_queue_cap: usize,
 }
 
@@ -118,7 +135,7 @@ pub(crate) fn start(
     let mut wakers = Vec::with_capacity(nshards);
     let mut handles = Vec::with_capacity(nshards);
     for (i, gauge) in gauges.into_iter().enumerate() {
-        let mut shard = Shard::new(i, client.clone(), Arc::clone(&shared), &cfg, gauge)?;
+        let mut shard = Shard::new(client.clone(), Arc::clone(&shared), &cfg, gauge)?;
         inboxes.push(Arc::clone(&shard.inbox));
         wakers.push(Arc::clone(&shard.waker));
         handles.push(
@@ -158,19 +175,39 @@ pub(crate) fn start(
     Ok(TcpServer { shared, accept: Some(accept), shards: handles })
 }
 
+/// A connection's codec, decided by its first byte.
+enum Codec {
+    /// No byte read yet.
+    Unsniffed,
+    Binary(FrameAssembler),
+    Text(TextConn),
+}
+
+/// The text codec's per-connection state.
+#[derive(Default)]
+struct TextConn {
+    lines: LineAssembler,
+    /// Verb of the one request in flight. Later lines wait in `lines`
+    /// until its reply is queued: program order per connection.
+    busy: Option<&'static str>,
+    /// The peer half-closed: finish the buffered requests, then close.
+    eof: bool,
+    /// Shared with this connection's subscription sinks; made on the
+    /// first `SUB`.
+    budget: Option<Arc<PushBudget>>,
+    /// End offsets in the write queue of `! EVT` lines not yet written.
+    evt_ends: VecDeque<usize>,
+}
+
 /// One connection owned by a shard.
 struct Conn {
     stream: TcpStream,
-    asm: FrameAssembler,
-    /// First byte examined: the connection is committed to binary.
-    sniffed: bool,
-    /// Bytes read before the sniff decision (replayed on text handoff).
-    prefix: Vec<u8>,
+    codec: Codec,
     wbuf: Vec<u8>,
     wpos: usize,
-    interest: Interest,
-    /// `connections_total`/`connections_live` counted (binary confirmed).
-    counted: bool,
+    /// Registered poll interest; `None` while deregistered (a text peer
+    /// that stopped being read, with nothing to write).
+    interest: Option<Interest>,
     /// Requests decoded but not yet answered on this connection.
     inflight: u64,
     last_activity: Instant,
@@ -186,41 +223,104 @@ impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            asm: FrameAssembler::new(),
-            sniffed: false,
-            prefix: Vec::new(),
+            codec: Codec::Unsniffed,
             wbuf: Vec::new(),
             wpos: 0,
-            interest: Interest::READABLE,
-            counted: false,
+            interest: Some(Interest::READABLE),
             inflight: 0,
             last_activity: Instant::now(),
             closing: None,
             subs: Vec::new(),
         }
     }
+
+    /// Whether the shard should read more input now: not after a text
+    /// peer's half-close, nor while a text request is in flight with a
+    /// full line cap of input already waiting behind it.
+    fn wants_input(&self) -> bool {
+        match &self.codec {
+            Codec::Text(t) => {
+                let capped = t.busy.is_some() && t.lines.buffered() >= MAX_LINE_BYTES;
+                !(t.eof || capped)
+            }
+            _ => true,
+        }
+    }
+
+    /// Returns the push budget of text event lines now fully written.
+    fn settle_events(&mut self) {
+        let Codec::Text(t) = &mut self.codec else { return };
+        let mut written = 0;
+        while t.evt_ends.front().is_some_and(|&end| end <= self.wpos) {
+            t.evt_ends.pop_front();
+            written += 1;
+        }
+        if let (Some(budget), true) = (&t.budget, written > 0) {
+            budget.unwritten.fetch_sub(written, Ordering::AcqRel);
+        }
+    }
 }
 
-/// A shard's subscription push queue: `(token, encoded event frame)`
-/// pairs parked by delivering threads, drained each poll round.
-type PushQueue = Arc<Mutex<Vec<(usize, Vec<u8>)>>>;
+/// A shard's subscription push queue: `(token, encoded event)` pairs
+/// parked by delivering threads, drained each poll round. `None` marks a
+/// text connection whose push budget overflowed.
+type PushQueue = Arc<Mutex<Vec<(usize, Option<Vec<u8>>)>>>;
 
-/// Event sink for a binary-door subscription: encodes the event frame on
-/// the delivering thread (usually the batcher) and parks it on the shard's
-/// push queue; the woken shard appends it to the connection's write queue.
-struct BinSink {
+/// A text connection's `--sub-queue-cap` budget: events delivered to it
+/// but not yet written to its socket.
+struct PushBudget {
+    unwritten: AtomicUsize,
+    cap: usize,
+    /// Overflowed or closed: every later event is refused, so a durable
+    /// subscription keeps it in retention.
+    dead: AtomicBool,
+}
+
+/// How an [`EventSink`] spells events.
+enum SinkCodec {
+    /// An event frame stamped with the `SUB` request's correlation id.
+    Binary { corr: u64 },
+    /// A `! EVT` line, charged to the connection's push budget.
+    Text(Arc<PushBudget>),
+}
+
+/// Event sink for one subscription: encodes each event on the delivering
+/// thread (usually the batcher) in its connection's codec and parks it on
+/// the shard's push queue; the woken shard appends it to the
+/// connection's write queue.
+struct EventSink {
     events: PushQueue,
     waker: Arc<Waker>,
     token: usize,
-    /// Correlation id of the `SUB` registration; every event frame for
-    /// this subscription carries it.
-    corr: u64,
+    codec: SinkCodec,
 }
 
-impl SubSink for BinSink {
-    fn deliver(&self, ev: &SubEvent) -> bool {
-        self.events.lock().push((self.token, frame(&encode_event(self.corr, ev))));
+impl EventSink {
+    fn push(&self, bytes: Option<Vec<u8>>) {
+        self.events.lock().push((self.token, bytes));
         let _ = self.waker.wake();
+    }
+}
+
+impl SubSink for EventSink {
+    fn deliver(&self, ev: &SubEvent) -> bool {
+        let bytes = match &self.codec {
+            SinkCodec::Binary { corr } => frame(&encode_event(*corr, ev)),
+            SinkCodec::Text(budget) => {
+                if budget.dead.load(Ordering::Acquire) {
+                    return false;
+                }
+                if budget.unwritten.fetch_add(1, Ordering::AcqRel) >= budget.cap {
+                    // The consumer stopped reading: refuse the event and
+                    // have the shard close the connection `sub-overflow`.
+                    budget.dead.store(true, Ordering::Release);
+                    self.push(None);
+                    return false;
+                }
+                encode_text_event(ev)
+            }
+        };
+        self.push(Some(bytes));
         true
     }
 }
@@ -261,22 +361,29 @@ struct Round {
     routes: Vec<Route>,
 }
 
+/// A service result as a reply: `ok` spells success, errors their text.
+fn reply<T>(res: Result<T, ServiceError>, ok: impl FnOnce(T) -> Reply) -> Reply {
+    res.map_or_else(|e| Reply::Err(e.to_string()), ok)
+}
+
 struct Shard {
-    id: usize,
     client: Client,
     obs: Arc<Obs>,
     shared: Arc<ServerShared>,
     poll: Poll,
     waker: Arc<Waker>,
     inbox: Arc<Mutex<Vec<TcpStream>>>,
-    /// Results of offloaded blocking verbs (`WAIT`/`QUIESCE`).
+    /// Results of offloaded blocking verbs.
     done: Arc<Mutex<Vec<(usize, u64, Reply)>>>,
-    /// Subscription event frames pushed by [`BinSink`]s from delivering
+    /// Subscription events pushed by [`EventSink`]s from delivering
     /// threads; drained each poll round.
     events: PushQueue,
     conns: HashMap<usize, Conn>,
     next_token: usize,
     groups: Vec<PendingGroup>,
+    /// Text connections whose reply was just queued: their next buffered
+    /// request runs in a follow-up round.
+    resume: Vec<usize>,
     gauge: Arc<Gauge>,
     idle_timeout: Option<Duration>,
     max_wbuf: usize,
@@ -287,7 +394,6 @@ struct Shard {
 
 impl Shard {
     fn new(
-        id: usize,
         client: Client,
         shared: Arc<ServerShared>,
         cfg: &NetConfig,
@@ -299,7 +405,6 @@ impl Shard {
         let num_vertices = client.num_vertices();
         let is_follower = client.role() == Role::Follower;
         Ok(Shard {
-            id,
             client,
             obs,
             shared,
@@ -311,6 +416,7 @@ impl Shard {
             conns: HashMap::new(),
             next_token: 1,
             groups: Vec::new(),
+            resume: Vec::new(),
             gauge,
             idle_timeout: cfg.idle_timeout,
             max_wbuf: cfg.max_wbuf,
@@ -345,6 +451,7 @@ impl Shard {
             self.drain_offloads();
             self.drain_groups();
             self.drain_events();
+            self.resume_text();
             self.sweep_idle();
         }
         // Orderly teardown: every surviving connection closes `shutdown`.
@@ -352,7 +459,6 @@ impl Shard {
         for t in tokens {
             self.close(t, CloseReason::Shutdown);
         }
-        let _ = self.id;
     }
 
     fn adopt_new(&mut self) {
@@ -369,11 +475,10 @@ impl Shard {
     }
 
     /// Drains readable bytes, sniffs the protocol on first contact, and
-    /// collects complete frames into the round.
+    /// collects complete frames or text requests into the round.
     fn handle_readable(&mut self, token: usize, round: &mut Round) {
         enum After {
             Keep,
-            HandoffText,
             Close(CloseReason),
             /// Best-effort `ERR` then typed close (frame damage).
             Poison(String),
@@ -383,44 +488,45 @@ impl Shard {
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
             let mut tmp = [0u8; 1 << 16];
-            'read: loop {
+            while conn.wants_input() {
                 match conn.stream.read(&mut tmp) {
                     Ok(0) => {
-                        after = After::Close(CloseReason::Eof);
-                        break 'read;
+                        match &mut conn.codec {
+                            Codec::Text(t) => t.eof = true,
+                            _ => after = After::Close(CloseReason::Eof),
+                        }
+                        break;
                     }
                     Ok(n) => {
                         conn.last_activity = Instant::now();
-                        if !conn.sniffed {
-                            conn.prefix.extend_from_slice(&tmp[..n]);
-                            if conn.prefix[0] != SNIFF_BYTE {
-                                after = After::HandoffText;
-                                break 'read;
-                            }
-                            // Binary confirmed: this is the moment the
-                            // connection enters the global counters (text
-                            // connections count via ConnGuard instead).
-                            conn.sniffed = true;
-                            conn.counted = true;
+                        if matches!(conn.codec, Codec::Unsniffed) {
+                            // The moment the connection enters the global
+                            // counters, whichever protocol it speaks.
+                            conn.codec = if tmp[0] == SNIFF_BYTE {
+                                Codec::Binary(FrameAssembler::new())
+                            } else {
+                                Codec::Text(TextConn::default())
+                            };
                             self.obs.metrics.connections_total.inc();
                             self.obs.metrics.connections_live.inc();
-                            let prefix = std::mem::take(&mut conn.prefix);
-                            conn.asm.push(&prefix);
-                        } else {
-                            conn.asm.push(&tmp[..n]);
+                        }
+                        match &mut conn.codec {
+                            Codec::Binary(asm) => asm.push(&tmp[..n]),
+                            Codec::Text(t) => t.lines.push(&tmp[..n]),
+                            Codec::Unsniffed => unreachable!("sniffed above"),
                         }
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'read,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue 'read,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(_) => {
                         after = After::Close(CloseReason::IoError);
-                        break 'read;
+                        break;
                     }
                 }
             }
-            if conn.sniffed && conn.closing.is_none() {
+            if let (Codec::Binary(asm), None) = (&mut conn.codec, conn.closing) {
                 loop {
-                    match conn.asm.next_frame() {
+                    match asm.next_frame() {
                         Ok(Some(payload)) => frames.push(payload),
                         Ok(None) => break,
                         Err(fe) => {
@@ -436,8 +542,7 @@ impl Shard {
             self.on_frame(token, &payload, round);
         }
         match after {
-            After::Keep => {}
-            After::HandoffText => self.handoff_text(token),
+            After::Keep => self.pump_text(token, round),
             After::Close(reason) => self.close(token, reason),
             After::Poison(msg) => {
                 self.queue_reply(token, 0, Reply::Err(msg), false);
@@ -446,45 +551,78 @@ impl Shard {
         }
     }
 
-    /// Decodes one request frame and routes it into the round (reads and
-    /// updates), answers it inline (`EPOCH`/`GEN`/`PING`), or offloads it
-    /// (`WAIT`/`QUIESCE`).
+    /// Feeds a text connection's buffered requests to the executor, one
+    /// at a time: stops at the first request whose reply is not queued
+    /// yet (a read waiting for the round's stroke, an update at the
+    /// batch former, an offloaded verb).
+    fn pump_text(&mut self, token: usize, round: &mut Round) {
+        loop {
+            let decoded = {
+                let Some(conn) = self.conns.get_mut(&token) else { return };
+                let Codec::Text(t) = &mut conn.codec else { return };
+                if t.busy.is_some() || conn.closing.is_some() {
+                    break;
+                }
+                let Some(decoded) = t.lines.next(t.eof) else { break };
+                if let Decoded::Request(req) = &decoded {
+                    t.busy = Some(req.verb());
+                }
+                decoded
+            };
+            match decoded {
+                Decoded::Request(req) => self.on_request(token, 0, req, round),
+                Decoded::Err(msg, None) => self.queue_reply(token, 0, Reply::Err(msg), false),
+                Decoded::Err(msg, Some(reason)) => {
+                    self.queue_reply(token, 0, Reply::Err(msg), false);
+                    self.close_after_flush(token, reason);
+                    return;
+                }
+                Decoded::Close(reason) => {
+                    self.close_after_flush(token, reason);
+                    return;
+                }
+            }
+        }
+        // Refresh interest: the input cap or a half-close may have moved.
+        self.flush_conn(token);
+    }
+
+    /// Runs follow-up rounds for text connections whose reply was just
+    /// queued, so their next buffered request executes without waiting
+    /// for another readiness event.
+    fn resume_text(&mut self) {
+        while !self.resume.is_empty() {
+            let mut round = Round::default();
+            for token in std::mem::take(&mut self.resume) {
+                self.pump_text(token, &mut round);
+            }
+            self.execute_round(round);
+        }
+    }
+
+    /// Decodes one request frame and hands it to the executor.
     fn on_frame(&mut self, token: usize, payload: &[u8], round: &mut Round) {
-        let (corr, req) = match binproto::decode_request(payload) {
-            Ok(ok) => ok,
+        match binproto::decode_request(payload) {
+            Ok((corr, req)) => self.on_request(token, corr, req.into(), round),
             Err(e @ RequestError::ShortHeader(_)) => {
                 self.queue_reply(token, 0, Reply::Err(e.to_string()), false);
                 self.close_after_flush(token, CloseReason::BadFrame);
-                return;
             }
             Err(e) => {
                 let corr = e.corr().unwrap_or(0);
                 self.queue_reply(token, corr, Reply::Err(e.to_string()), false);
-                return;
             }
-        };
-        let verb_name = match req {
-            BinRequest::Insert(..) => "I",
-            BinRequest::Delete(..) => "D",
-            BinRequest::Query(..) => "Q",
-            BinRequest::QueryGen(..) => "QG",
-            BinRequest::Batch(_) => "B",
-            BinRequest::Epoch => "EPOCH",
-            BinRequest::Wait { .. } => "WAIT",
-            BinRequest::Ping => "PING",
-            BinRequest::Quiesce { .. } => "QUIESCE",
-            BinRequest::Gen => "GEN",
-            BinRequest::Topk { .. } => "TOPK",
-            BinRequest::Hist => "HIST",
-            BinRequest::Size(_) => "SIZE",
-            BinRequest::Subscribe { .. } => "SUB",
-            BinRequest::Unsubscribe { .. } => "UNSUB",
-        };
-        self.obs.metrics.record_request(verb_name);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.inflight += 1;
-            self.obs.metrics.net_pipeline_depth.record(conn.inflight);
         }
+    }
+
+    /// The executor, shared by both codecs: routes a request into the
+    /// round (reads and updates), answers it inline, or offloads it
+    /// (verbs that can block).
+    fn on_request(&mut self, token: usize, corr: u64, req: Request, round: &mut Round) {
+        self.obs.metrics.record_request(req.verb());
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.inflight += 1;
+        self.obs.metrics.net_pipeline_depth.record(conn.inflight);
         // Per-request validation up front, so one bad request gets its
         // own ERR instead of poisoning the whole grouped submission.
         if let Some(bad) = self.out_of_range(&req) {
@@ -494,25 +632,22 @@ impl Shard {
             return;
         }
         if self.is_follower && carries_updates(&req) {
-            self.queue_reply(
-                token,
-                corr,
-                Reply::Err(ServiceError::ReadOnlyFollower.to_string()),
-                true,
-            );
+            let msg = ServiceError::ReadOnlyFollower.to_string();
+            self.queue_reply(token, corr, Reply::Err(msg), true);
             return;
         }
-        match req {
-            BinRequest::Query(u, v) | BinRequest::QueryGen(u, v) => {
-                let tag = if matches!(req, BinRequest::Query(..)) {
+        let answer = match req {
+            Request::Query(u, v) | Request::QueryGen(u, v) => {
+                let tag = if matches!(req, Request::Query(..)) {
                     binproto::verb::QUERY
                 } else {
                     binproto::verb::QUERY_GEN
                 };
                 round.queries.push(QueryReq { token, corr, tag, start: round.pairs.len(), len: 1 });
                 round.pairs.push((u, v));
+                return;
             }
-            BinRequest::Batch(ops) if self.is_follower => {
+            Request::Ops(ops) if self.is_follower => {
                 // Query-only (updates were rejected above): answer the
                 // whole body from the round's shared view acquire.
                 let start = round.pairs.len();
@@ -521,164 +656,190 @@ impl Shard {
                     let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
                     round.pairs.push((u, v));
                 }
-                round.queries.push(QueryReq {
-                    token,
-                    corr,
-                    tag: binproto::verb::BATCH,
-                    start,
-                    len,
-                });
+                let tag = binproto::verb::BATCH;
+                round.queries.push(QueryReq { token, corr, tag, start, len });
+                return;
             }
-            BinRequest::Insert(u, v) => {
-                round.routes.push(Route {
-                    token,
-                    corr,
-                    tag: binproto::verb::INSERT,
-                    q_start: round.group_queries,
-                    q_len: 0,
-                });
-                round.group_ops.push(Update::Insert(u, v));
-            }
-            BinRequest::Delete(u, v) => {
-                round.routes.push(Route {
-                    token,
-                    corr,
-                    tag: binproto::verb::DELETE,
-                    q_start: round.group_queries,
-                    q_len: 0,
-                });
-                round.group_ops.push(Update::Delete(u, v));
-            }
-            BinRequest::Batch(ops) => {
+            Request::Insert(..) | Request::Delete(..) | Request::Ops(_) => {
+                let (tag, ops) = match req {
+                    Request::Insert(u, v) => (binproto::verb::INSERT, vec![Update::Insert(u, v)]),
+                    Request::Delete(u, v) => (binproto::verb::DELETE, vec![Update::Delete(u, v)]),
+                    Request::Ops(ops) => (binproto::verb::BATCH, ops),
+                    _ => unreachable!("matched above"),
+                };
                 let q_len = ops.iter().filter(|op| matches!(op, Update::Query(..))).count();
-                round.routes.push(Route {
-                    token,
-                    corr,
-                    tag: binproto::verb::BATCH,
-                    q_start: round.group_queries,
-                    q_len,
-                });
+                let q_start = round.group_queries;
+                round.routes.push(Route { token, corr, tag, q_start, q_len });
                 round.group_queries += q_len;
                 round.group_ops.extend(ops);
+                return;
             }
-            BinRequest::Epoch => {
-                let e = self.client.epoch();
-                self.queue_reply(token, corr, Reply::Value(e), true);
+            Request::Wait(epoch, timeout_ms) => {
+                return self.offload(token, corr, move |client| {
+                    let timeout = Duration::from_millis(timeout_ms);
+                    reply(client.wait_for_epoch(epoch, timeout), Reply::Value)
+                });
             }
-            BinRequest::Gen => {
+            Request::Quiesce(timeout_ms) => {
+                return self.offload(token, corr, move |client| {
+                    reply(client.quiesce(Duration::from_millis(timeout_ms)), Reply::Value)
+                });
+            }
+            Request::Flush => {
+                return self
+                    .offload(token, corr, |client| reply(client.flush_wal(), |()| Reply::Ok));
+            }
+            Request::Snapshot => {
+                return self
+                    .offload(token, corr, |client| reply(client.durable_snapshot(), Reply::Value));
+            }
+            Request::WalStats => {
+                return self.offload(token, corr, |client| reply(client.wal_stats(), Reply::Line));
+            }
+            Request::Quit => {
+                self.close_after_flush(token, CloseReason::Quit);
+                return;
+            }
+            Request::Shutdown => {
+                self.queue_reply(token, corr, Reply::Ok, true);
+                self.close_after_flush(token, CloseReason::Shutdown);
+                self.shared.request_shutdown();
+                return;
+            }
+            Request::Epoch => Reply::Value(self.client.epoch()),
+            Request::Gen => {
                 let info = self.client.generation_info();
-                self.queue_reply(
-                    token,
-                    corr,
-                    Reply::Gen {
-                        generation: info.generation,
-                        dirty: info.dirty,
-                        rebuilds: info.counters.rebuilds,
-                        forest: info.counters.deletes_forest,
-                        nonforest: info.counters.deletes_nonforest,
-                        absent: info.counters.deletes_absent,
-                    },
-                    true,
-                );
+                Reply::Gen {
+                    generation: info.generation,
+                    dirty: info.dirty,
+                    rebuilds: info.counters.rebuilds,
+                    forest: info.counters.deletes_forest,
+                    nonforest: info.counters.deletes_nonforest,
+                    absent: info.counters.deletes_absent,
+                }
             }
-            BinRequest::Ping => self.queue_reply(token, corr, Reply::Ok, true),
-            BinRequest::Topk { k } => {
-                let (entries, epoch, generation, sealed) = self.client.topk(k as usize);
-                self.queue_reply(
-                    token,
-                    corr,
-                    Reply::Topk { epoch, generation, sealed, entries },
-                    true,
-                );
+            Request::Ping => Reply::Ok,
+            Request::Topk(k) => {
+                let (entries, epoch, generation, sealed) = self.client.topk(k);
+                Reply::Topk { epoch, generation, sealed, entries }
             }
-            BinRequest::Hist => {
+            Request::Hist => {
                 let view = self.client.analytics();
-                self.queue_reply(
-                    token,
-                    corr,
-                    Reply::Hist {
-                        epoch: view.epoch,
-                        generation: view.generation,
-                        sealed: view.sealed,
-                        components: view.components,
-                        buckets: view.hist.to_vec(),
-                    },
-                    true,
-                );
+                Reply::Hist {
+                    epoch: view.epoch,
+                    generation: view.generation,
+                    sealed: view.sealed,
+                    components: view.components,
+                    buckets: view.hist.to_vec(),
+                }
             }
-            BinRequest::Size(v) => {
-                let reply = match self.client.component_size(v) {
-                    Ok((root, size)) => Reply::Size { size, root },
-                    Err(e) => Reply::Err(e.to_string()),
-                };
-                self.queue_reply(token, corr, reply, true);
+            Request::Size(v) => {
+                reply(self.client.component_size(v), |(root, size)| Reply::Size { size, root })
             }
-            BinRequest::Wait { epoch, timeout_ms } => {
-                self.offload(token, corr, move |client| {
-                    match client.wait_for_epoch(epoch, Duration::from_millis(timeout_ms)) {
-                        Ok(at) => Reply::Value(at),
-                        Err(e) => Reply::Err(e.to_string()),
-                    }
-                });
-            }
-            BinRequest::Quiesce { timeout_ms } => {
-                self.offload(token, corr, move |client| {
-                    match client.quiesce(Duration::from_millis(timeout_ms)) {
-                        Ok(generation) => Reply::Value(generation),
-                        Err(e) => Reply::Err(e.to_string()),
-                    }
-                });
-            }
-            BinRequest::Subscribe { kind, u, v, durable } => {
-                let sink: Arc<dyn SubSink> = Arc::new(BinSink {
-                    events: Arc::clone(&self.events),
-                    waker: Arc::clone(&self.waker),
-                    token,
-                    corr,
-                });
+            Request::Label(v) => reply(self.client.current_label(v), |l| Reply::Value(l.into())),
+            Request::Components => Reply::Value(self.client.num_components() as u64),
+            Request::Role => Reply::Line(self.client.role().to_string()),
+            Request::Stats => Reply::Line(self.client.stats().to_string()),
+            Request::Metrics => Reply::Lines(self.client.render_metrics()),
+            Request::Trace(n) => Reply::Lines(self.client.trace_events(n)),
+            Request::Subs => Reply::Lines(
+                self.client
+                    .subs_info()
+                    .into_iter()
+                    .map(|s| {
+                        let kind = match s.kind {
+                            SubKind::Pair => "PAIR",
+                            SubKind::Component => "COMPONENT",
+                        };
+                        let (durable, fired) = (u8::from(s.durable), u8::from(s.fired));
+                        format!(
+                            "{} {kind} {} {} {} {durable} {fired}",
+                            s.id, s.u, s.v, s.registered_epoch
+                        )
+                    })
+                    .collect(),
+            ),
+            Request::Sub { component, u, v, durable } => {
+                let kind = if component { SubKind::Component } else { SubKind::Pair };
                 // The reply is queued before drain_events runs this round,
-                // so the `Subscribed` frame always precedes the first
-                // event frame even when the registration fires instantly.
-                let reply = match self.client.subscribe(kind, u, v, durable, Some(sink)) {
+                // so the registration's answer always precedes its first
+                // event even when the registration fires instantly.
+                let sink = self.sink(token, corr);
+                match self.client.subscribe(kind, u, v, durable, Some(sink)) {
                     Ok((id, epoch)) => {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.subs.push((id, durable));
-                        }
+                        self.bind_sub(token, id, durable);
                         Reply::Subscribed { id, epoch }
                     }
                     Err(e) => Reply::Err(e.to_string()),
-                };
-                self.queue_reply(token, corr, reply, true);
+                }
             }
-            BinRequest::Unsubscribe { id } => {
-                let reply = match self.client.unsubscribe(id) {
-                    Ok(()) => {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.subs.retain(|&(sid, _)| sid != id);
-                        }
-                        Reply::Ok
+            Request::SubAttach { id, after_seq } => {
+                let sink = self.sink(token, corr);
+                match self.client.attach_sub(id, after_seq, sink) {
+                    Ok(_last_seq) => {
+                        self.bind_sub(token, id, true);
+                        Reply::Subscribed { id, epoch: self.client.epoch() }
                     }
                     Err(e) => Reply::Err(e.to_string()),
-                };
-                self.queue_reply(token, corr, reply, true);
+                }
             }
+            Request::Unsub(id) => match self.client.unsubscribe(id) {
+                Ok(()) => {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        conn.subs.retain(|&(sid, _)| sid != id);
+                    }
+                    Reply::Ok
+                }
+                Err(e) => Reply::Err(e.to_string()),
+            },
+            Request::Batch(_) => unreachable!("the text codec resolves `B k` into `Ops`"),
+        };
+        self.queue_reply(token, corr, answer, true);
+    }
+
+    /// A subscription sink speaking the connection's codec.
+    fn sink(&mut self, token: usize, corr: u64) -> Arc<dyn SubSink> {
+        let cap = self.sub_queue_cap;
+        let codec = match self.conns.get_mut(&token).map(|c| &mut c.codec) {
+            Some(Codec::Text(t)) => {
+                SinkCodec::Text(Arc::clone(t.budget.get_or_insert_with(|| {
+                    Arc::new(PushBudget {
+                        unwritten: AtomicUsize::new(0),
+                        cap,
+                        dead: AtomicBool::new(false),
+                    })
+                })))
+            }
+            _ => SinkCodec::Binary { corr },
+        };
+        Arc::new(EventSink {
+            events: Arc::clone(&self.events),
+            waker: Arc::clone(&self.waker),
+            token,
+            codec,
+        })
+    }
+
+    fn bind_sub(&mut self, token: usize, id: u64, durable: bool) {
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.subs.push((id, durable));
         }
     }
 
     /// First out-of-range vertex in the request, if any.
-    fn out_of_range(&self, req: &BinRequest) -> Option<u32> {
+    fn out_of_range(&self, req: &Request) -> Option<u32> {
         let n = self.num_vertices;
         let check = |u: u32, v: u32| [u, v].into_iter().find(|&x| x as usize >= n);
         match req {
-            BinRequest::Insert(u, v)
-            | BinRequest::Delete(u, v)
-            | BinRequest::Query(u, v)
-            | BinRequest::QueryGen(u, v) => check(*u, *v),
-            BinRequest::Batch(ops) => ops.iter().find_map(|op| {
+            Request::Insert(u, v)
+            | Request::Delete(u, v)
+            | Request::Query(u, v)
+            | Request::QueryGen(u, v) => check(*u, *v),
+            Request::Ops(ops) => ops.iter().find_map(|op| {
                 let (Update::Insert(u, v) | Update::Delete(u, v) | Update::Query(u, v)) = *op;
                 check(u, v)
             }),
-            BinRequest::Size(v) => check(*v, *v),
+            Request::Size(v) => check(*v, *v),
             _ => None,
         }
     }
@@ -759,23 +920,32 @@ impl Shard {
         }
     }
 
-    /// Appends pushed subscription event frames to their connections'
-    /// write queues. Unlike replies, events arrive regardless of whether
-    /// the peer is reading, so a write queue blown past `max_wbuf` here is
-    /// a slow consumer — the connection closes with a typed
+    /// Appends pushed subscription events to their connections' write
+    /// queues. Unlike replies, events arrive regardless of whether the
+    /// peer is reading, so a consumer past its budget — a text
+    /// connection's push budget, a binary write queue blown past
+    /// `max_wbuf` — is too slow: the connection closes with a typed
     /// `sub-overflow`, never a silent drop.
     fn drain_events(&mut self) {
-        let pushed: Vec<(usize, Vec<u8>)> = std::mem::take(&mut *self.events.lock());
+        let pushed: Vec<(usize, Option<Vec<u8>>)> = std::mem::take(&mut *self.events.lock());
         for (token, bytes) in pushed {
             let overflow = {
                 let Some(conn) = self.conns.get_mut(&token) else { continue };
-                if conn.closing.is_some() {
-                    continue;
+                match bytes {
+                    _ if conn.closing.is_some() => continue,
+                    None => true,
+                    Some(bytes) => {
+                        conn.wbuf.extend_from_slice(&bytes);
+                        if let Codec::Text(t) = &mut conn.codec {
+                            t.evt_ends.push_back(conn.wbuf.len());
+                            false
+                        } else {
+                            self.obs.metrics.frames_out_total.inc();
+                            conn.wbuf.len() - conn.wpos > self.max_wbuf
+                        }
+                    }
                 }
-                conn.wbuf.extend_from_slice(&bytes);
-                conn.wbuf.len() - conn.wpos > self.max_wbuf
             };
-            self.obs.metrics.frames_out_total.inc();
             if overflow {
                 self.close(token, CloseReason::SubOverflow);
             } else {
@@ -818,36 +988,39 @@ impl Shard {
         }
     }
 
-    /// Encodes a response frame onto the connection's write queue and
-    /// drains it as far as the socket allows.
+    /// Encodes a reply in the connection's codec onto its write queue and
+    /// drains it as far as the socket allows. A text reply frees the
+    /// connection for its next request.
     fn queue_reply(&mut self, token: usize, corr: u64, reply: Reply, dec_inflight: bool) {
         if matches!(reply, Reply::Err(_)) {
             self.obs.metrics.request_errors_total.inc();
         }
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            conn.wbuf.extend_from_slice(&frame(&encode_reply(corr, &reply)));
+            if let Codec::Text(t) = &mut conn.codec {
+                // A codec-level ERR answers no request and has no verb.
+                encode_text_reply(t.busy.take().unwrap_or(""), &reply, &mut conn.wbuf);
+                conn.last_activity = Instant::now();
+                self.resume.push(token);
+            } else {
+                conn.wbuf.extend_from_slice(&frame(&encode_reply(corr, &reply)));
+                self.obs.metrics.frames_out_total.inc();
+            }
             if dec_inflight {
                 conn.inflight = conn.inflight.saturating_sub(1);
             }
         }
-        self.obs.metrics.frames_out_total.inc();
         self.flush_conn(token);
     }
 
-    /// Drains the write queue; manages `WRITABLE` interest, backpressure,
-    /// and deferred closes.
+    /// Drains the write queue; manages poll interest, backpressure, and
+    /// deferred closes.
     fn flush_conn(&mut self, token: usize) {
         let mut close_now = None;
-        let mut reregister = None;
+        let mut change = None;
         {
             let Some(conn) = self.conns.get_mut(&token) else { return };
-            loop {
-                if conn.wpos >= conn.wbuf.len() {
-                    conn.wbuf.clear();
-                    conn.wpos = 0;
-                    break;
-                }
+            while conn.wpos < conn.wbuf.len() {
                 match conn.stream.write(&conn.wbuf[conn.wpos..]) {
                     Ok(0) => {
                         close_now = Some(CloseReason::IoError);
@@ -862,36 +1035,40 @@ impl Shard {
                     }
                 }
             }
+            conn.settle_events();
+            if conn.wpos >= conn.wbuf.len() {
+                conn.wbuf.clear();
+                conn.wpos = 0;
+            }
+            let backlog = conn.wbuf.len() - conn.wpos;
+            if close_now.is_none() && backlog == 0 {
+                close_now = conn.closing;
+            }
             if close_now.is_none() {
-                let backlog = conn.wbuf.len() - conn.wpos;
-                if backlog == 0 {
-                    if let Some(reason) = conn.closing {
-                        close_now = Some(reason);
-                    }
-                }
-                let want = if backlog == 0 {
-                    if conn.closing.is_some() {
-                        conn.interest // about to close; interest moot
-                    } else {
-                        Interest::READABLE
-                    }
-                } else if backlog > self.max_wbuf || conn.closing.is_some() {
-                    // Backpressure: stop reading until the peer drains.
-                    Interest::WRITABLE
-                } else {
-                    Interest::READABLE | Interest::WRITABLE
+                // Backpressure: stop reading until the peer drains.
+                let read = conn.closing.is_none() && backlog <= self.max_wbuf && conn.wants_input();
+                let want = match (read, backlog > 0) {
+                    (true, false) => Some(Interest::READABLE),
+                    (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
+                    (false, true) => Some(Interest::WRITABLE),
+                    (false, false) => None,
                 };
                 if want != conn.interest {
+                    change = Some((conn.interest, want));
                     conn.interest = want;
-                    reregister = Some(want);
                 }
             }
         }
         if let Some(reason) = close_now {
             self.close(token, reason);
-        } else if let Some(want) = reregister {
-            let conn = &self.conns[&token];
-            let _ = self.poll.registry().reregister(&conn.stream, Token(token), want);
+        } else if let Some((was, want)) = change {
+            let stream = &self.conns[&token].stream;
+            let registry = self.poll.registry();
+            let _ = match (was, want) {
+                (None, Some(want)) => registry.register(stream, Token(token), want),
+                (Some(_), Some(want)) => registry.reregister(stream, Token(token), want),
+                (_, None) => registry.deregister(stream),
+            };
         }
     }
 
@@ -911,6 +1088,9 @@ impl Shard {
     fn close(&mut self, token: usize, reason: CloseReason) {
         let Some(conn) = self.conns.remove(&token) else { return };
         let _ = self.poll.registry().deregister(&conn.stream);
+        if let Codec::Text(TextConn { budget: Some(budget), .. }) = &conn.codec {
+            budget.dead.store(true, Ordering::Release);
+        }
         // Ephemeral subscriptions die with the connection; durable ones
         // only lose their sink and keep accumulating for `SUB ATTACH`.
         for &(id, durable) in &conn.subs {
@@ -921,48 +1101,29 @@ impl Shard {
             }
         }
         self.gauge.dec();
-        if conn.counted {
-            self.obs.metrics.connections_live.dec();
-        } else {
+        if matches!(conn.codec, Codec::Unsniffed) {
             // Closed before the sniff decided a protocol: count the
             // connection's whole life here so `connections_total` and the
-            // flight record match the thread-per-connection behavior.
+            // flight record still see it.
             self.obs.metrics.connections_total.inc();
+        } else {
+            self.obs.metrics.connections_live.dec();
         }
         self.obs.recorder.record(Event::ConnClosed { reason });
     }
 
-    /// Hands a text connection (first byte was not the binary sniff byte)
-    /// to a dedicated blocking thread, replaying the sniffed bytes.
-    fn handoff_text(&mut self, token: usize) {
-        let Some(conn) = self.conns.remove(&token) else { return };
-        let _ = self.poll.registry().deregister(&conn.stream);
-        self.gauge.dec();
-        let Conn { stream, prefix, .. } = conn;
-        if stream.set_nonblocking(false).is_err() {
-            self.obs.metrics.connections_total.inc();
-            self.obs.recorder.record(Event::ConnClosed { reason: CloseReason::IoError });
-            return;
-        }
-        if let Some(t) = self.idle_timeout {
-            let _ = stream.set_read_timeout(Some(t));
-        }
-        let client = self.client.clone();
-        let shared = Arc::clone(&self.shared);
-        let sub_queue_cap = self.sub_queue_cap;
-        let _ = std::thread::Builder::new().name("cc-conn".into()).spawn(move || {
-            let _ = handle_connection(stream, prefix, &client, &shared, sub_queue_cap);
-        });
-    }
-
-    /// Closes binary/unsniffed connections idle past the timeout.
+    /// Closes connections idle past the timeout. A text connection
+    /// waiting on its own request (a long `WAIT`) is not idle.
     fn sweep_idle(&mut self) {
         let Some(limit) = self.idle_timeout else { return };
         let now = Instant::now();
         let idle: Vec<usize> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.closing.is_none() && now.duration_since(c.last_activity) > limit)
+            .filter(|(_, c)| {
+                let busy = matches!(&c.codec, Codec::Text(t) if t.busy.is_some());
+                c.closing.is_none() && !busy && now.duration_since(c.last_activity) > limit
+            })
             .map(|(&t, _)| t)
             .collect();
         for t in idle {
@@ -972,10 +1133,10 @@ impl Shard {
 }
 
 /// Whether a request carries inserts or deletes (rejected on followers).
-fn carries_updates(req: &BinRequest) -> bool {
+fn carries_updates(req: &Request) -> bool {
     match req {
-        BinRequest::Insert(..) | BinRequest::Delete(..) => true,
-        BinRequest::Batch(ops) => ops.iter().any(|op| !matches!(op, Update::Query(..))),
+        Request::Insert(..) | Request::Delete(..) => true,
+        Request::Ops(ops) => ops.iter().any(|op| !matches!(op, Update::Query(..))),
         _ => false,
     }
 }

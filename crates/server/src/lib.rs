@@ -53,8 +53,9 @@
 //!   told apart by a first-byte sniff. The line-based text protocol
 //!   (`I`/`D`/`Q`/`B`/`GEN`/`QUIESCE`/`STATS`/`FLUSH`/`SNAPSHOT`/
 //!   `WALSTATS`/`METRICS`/`TRACE`/`WAIT`/`ROLE`/…) remains the debug
-//!   door, handled by a dedicated thread per connection with a blocking
-//!   [`net::TcpClient`]. The binary protocol ([`binproto`]) frames
+//!   door, with a blocking [`net::TcpClient`]; it is a second codec over
+//!   the same request model and executor, one request in flight per
+//!   connection. The binary protocol ([`binproto`]) frames
 //!   correlation-tagged requests in the `cc_graph::io::binary` codec so
 //!   clients pipeline many in-flight requests per connection
 //!   ([`binproto::BinClient`]); each shard coalesces decoded reads

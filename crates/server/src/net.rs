@@ -5,10 +5,10 @@
 //! Accepted connections land on the sharded readiness event loop in
 //! [`crate::evloop`], which sniffs the first byte: `0xCC` (the
 //! [`crate::binproto::STREAM_MAGIC`] opener, which no text verb starts
-//! with) selects the pipelined binary protocol served in-loop; anything
-//! else hands the connection — sniffed bytes replayed — to a dedicated
-//! text thread running `handle_connection` below, preserving the text
-//! protocol byte for byte as the debug door on the same port.
+//! with) selects the pipelined binary codec; anything else selects the
+//! text codec defined here — `LineAssembler` cuts requests out of the
+//! byte stream and `encode_text_reply` spells the answers. Both codecs
+//! feed one request model (`Request`) and one executor in the shard.
 //!
 //! ## Protocol
 //!
@@ -73,9 +73,10 @@
 //! their views converge at the honestly-reported epoch; route heavy
 //! analytical reads there by default (DESIGN.md §12).
 
-use crate::obs::{CloseReason, Event, Obs, DEFAULT_TRACE_EVENTS};
-use crate::service::{Client, Service};
-use crate::subs::{SubEvent, SubKind, SubSink};
+use crate::binproto::{BinRequest, Reply};
+use crate::obs::{CloseReason, DEFAULT_TRACE_EVENTS};
+use crate::service::Service;
+use crate::subs::{SubEvent, SubKind};
 use connectit::Update;
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -85,14 +86,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A parsed request line.
+/// A request, whichever door it came through. The text parser yields
+/// every variant but `Ops`; a `B k` header (`Batch`) becomes `Ops` once
+/// [`LineAssembler`] has its body. Binary frames decode into a subset
+/// (`From<BinRequest>`).
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum Request {
+pub(crate) enum Request {
     Insert(u32, u32),
     Delete(u32, u32),
     Query(u32, u32),
     QueryGen(u32, u32),
     Batch(usize),
+    Ops(Vec<Update>),
     Label(u32),
     Components,
     Topk(usize),
@@ -116,6 +121,65 @@ enum Request {
     Ping,
     Quit,
     Shutdown,
+}
+
+impl Request {
+    /// The verb as spelled in [`TEXT_VERBS`] (the `requests_total` label).
+    pub(crate) fn verb(&self) -> &'static str {
+        match self {
+            Request::Insert(..) => "I",
+            Request::Delete(..) => "D",
+            Request::Query(..) => "Q",
+            Request::QueryGen(..) => "QG",
+            Request::Batch(_) | Request::Ops(_) => "B",
+            Request::Label(_) => "LABEL",
+            Request::Components => "COMPONENTS",
+            Request::Topk(_) => "TOPK",
+            Request::Hist => "HIST",
+            Request::Size(_) => "SIZE",
+            Request::Epoch => "EPOCH",
+            Request::Wait(..) => "WAIT",
+            Request::Gen => "GEN",
+            Request::Quiesce(_) => "QUIESCE",
+            Request::Role => "ROLE",
+            Request::Stats => "STATS",
+            Request::Flush => "FLUSH",
+            Request::Snapshot => "SNAPSHOT",
+            Request::WalStats => "WALSTATS",
+            Request::Metrics => "METRICS",
+            Request::Trace(_) => "TRACE",
+            Request::Sub { .. } | Request::SubAttach { .. } => "SUB",
+            Request::Unsub(_) => "UNSUB",
+            Request::Subs => "SUBS",
+            Request::Ping => "PING",
+            Request::Quit => "QUIT",
+            Request::Shutdown => "SHUTDOWN",
+        }
+    }
+}
+
+impl From<BinRequest> for Request {
+    fn from(req: BinRequest) -> Request {
+        match req {
+            BinRequest::Insert(u, v) => Request::Insert(u, v),
+            BinRequest::Delete(u, v) => Request::Delete(u, v),
+            BinRequest::Query(u, v) => Request::Query(u, v),
+            BinRequest::QueryGen(u, v) => Request::QueryGen(u, v),
+            BinRequest::Batch(ops) => Request::Ops(ops),
+            BinRequest::Epoch => Request::Epoch,
+            BinRequest::Wait { epoch, timeout_ms } => Request::Wait(epoch, timeout_ms),
+            BinRequest::Ping => Request::Ping,
+            BinRequest::Quiesce { timeout_ms } => Request::Quiesce(timeout_ms),
+            BinRequest::Gen => Request::Gen,
+            BinRequest::Topk { k } => Request::Topk(usize::from(k)),
+            BinRequest::Hist => Request::Hist,
+            BinRequest::Size(v) => Request::Size(v),
+            BinRequest::Subscribe { kind, u, v, durable } => {
+                Request::Sub { component: kind == SubKind::Component, u, v, durable }
+            }
+            BinRequest::Unsubscribe { id } => Request::Unsub(id),
+        }
+    }
 }
 
 /// Every verb the text parser accepts. Exported so the doc-drift test
@@ -292,43 +356,6 @@ fn parse_batch_op(line: &str) -> Result<Update, String> {
     Ok(op)
 }
 
-/// Writes one `ERR <reason>` reply and counts it: every error line the
-/// server emits, whatever the cause, moves `request_errors_total`.
-fn write_err(
-    w: &mut BufWriter<TcpStream>,
-    obs: &Obs,
-    msg: impl std::fmt::Display,
-) -> std::io::Result<()> {
-    obs.metrics.request_errors_total.inc();
-    writeln!(w, "ERR {msg}")
-}
-
-/// Mirrors one connection's lifetime into the registry: counted on
-/// accept, decremented on drop — so `connections_live` is correct no
-/// matter which of the handler's many exits ran — and stamped into the
-/// flight recorder with the close reason the handler recorded.
-struct ConnGuard {
-    obs: Arc<Obs>,
-    reason: CloseReason,
-}
-
-impl ConnGuard {
-    fn new(obs: Arc<Obs>) -> ConnGuard {
-        obs.metrics.connections_total.inc();
-        obs.metrics.connections_live.inc();
-        // `IoError` is the default so an early `?` return (peer reset,
-        // broken pipe) needs no bookkeeping; orderly exits overwrite it.
-        ConnGuard { obs, reason: CloseReason::IoError }
-    }
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.obs.metrics.connections_live.dec();
-        self.obs.recorder.record(Event::ConnClosed { reason: self.reason });
-    }
-}
-
 pub(crate) struct ServerShared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) done_mx: Mutex<bool>,
@@ -357,10 +384,10 @@ impl ServerShared {
 }
 
 /// A running TCP front-end over a [`Service`]: the accept thread plus N
-/// event-loop shards (see [`crate::evloop`]). Binary connections are
-/// served in-loop; text connections get a dedicated thread each. The
-/// server stops when a `SHUTDOWN` request arrives or [`TcpServer::stop`]
-/// is called.
+/// event-loop shards (see [`crate::evloop`]) that serve every connection,
+/// text and binary alike — the thread count does not grow with
+/// connections. The server stops when a `SHUTDOWN` request arrives or
+/// [`TcpServer::stop`] is called.
 pub struct TcpServer {
     pub(crate) shared: Arc<ServerShared>,
     pub(crate) accept: Option<std::thread::JoinHandle<()>>,
@@ -416,475 +443,227 @@ pub fn serve_with(
     crate::evloop::start(service, addr, cfg)
 }
 
-/// Reads one request line with [`MAX_LINE_BYTES`] enforced. `Ok(0)` is
-/// EOF; `Err` with `InvalidData` means the peer exceeded the cap (the
-/// caller answers `ERR` and closes — resynchronizing inside an unbounded
-/// line is hopeless).
-fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> std::io::Result<usize> {
-    line.clear();
-    let got = std::io::Read::take(&mut *reader, MAX_LINE_BYTES as u64).read_line(line)?;
-    if got == MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-        ));
+/// A `B k` body being collected.
+struct BatchBody {
+    owed: usize,
+    ops: Vec<Update>,
+    /// The first malformed op line: the whole batch answers it.
+    bad: Option<String>,
+}
+
+/// What [`LineAssembler::next`] cut from a text connection's input.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Decoded {
+    /// A whole request; a `B k` batch arrives as [`Request::Ops`].
+    Request(Request),
+    /// Answer `ERR <msg>`; with a reason the connection then closes,
+    /// because no later request boundary can be trusted.
+    Err(String, Option<CloseReason>),
+    /// Close without a reply: the input ended (`eof`), possibly inside a
+    /// batch body (`truncated-batch`).
+    Close(CloseReason),
+}
+
+/// The text codec's input half: buffers a connection's raw bytes and
+/// cuts them into whole requests — a `B k` header together with its `k`
+/// body lines — with [`MAX_LINE_BYTES`] enforced on every line.
+#[derive(Default)]
+pub(crate) struct LineAssembler {
+    buf: Vec<u8>,
+    /// Consumed prefix of `buf`.
+    pos: usize,
+    /// Bytes past `pos` already searched for a newline.
+    scanned: usize,
+    batch: Option<BatchBody>,
+}
+
+impl LineAssembler {
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
+        self.buf.extend_from_slice(bytes);
     }
-    Ok(got)
-}
 
-/// The server side of a text subscription: a bounded queue between the
-/// service's delivery path and this connection's pusher thread. The
-/// service must never block on (or allocate unboundedly for) a slow
-/// consumer, so a full queue marks the sink dead, flags the overflow,
-/// and shuts the socket down — the connection closes with a typed
-/// `sub-overflow` reason rather than dropping events silently.
-struct TextSink {
-    queue: Mutex<VecDeque<SubEvent>>,
-    cv: Condvar,
-    cap: usize,
-    dead: AtomicBool,
-    overflow: AtomicBool,
-    stream: TcpStream,
-}
+    /// Input bytes not yet cut into requests.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf.len() - self.pos
+    }
 
-impl SubSink for TextSink {
-    fn deliver(&self, ev: &SubEvent) -> bool {
-        if self.dead.load(Ordering::Acquire) {
-            return false;
+    /// The byte range of the next line, terminator excluded. At `eof` a
+    /// final unterminated line counts. A line over the cap is an error.
+    fn cut_line(&mut self, eof: bool) -> Result<Option<(usize, usize)>, String> {
+        let from = self.pos + self.scanned;
+        let line_end = match self.buf[from..].iter().position(|&b| b == b'\n') {
+            Some(i) if from + i + 1 - self.pos <= MAX_LINE_BYTES => Some(from + i),
+            None if self.buf.len() - self.pos < MAX_LINE_BYTES => None,
+            _ => return Err(format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+        };
+        let line = match line_end {
+            Some(end) => (self.pos, end),
+            None if eof && self.buf.len() > self.pos => (self.pos, self.buf.len()),
+            None => {
+                self.scanned = self.buf.len() - self.pos;
+                return Ok(None);
+            }
+        };
+        self.pos = (line.1 + 1).min(self.buf.len());
+        self.scanned = 0;
+        Ok(Some(line))
+    }
+
+    /// Cuts the next request. `None` means more input is needed; at `eof`
+    /// the input is final and the result is never `None`.
+    pub(crate) fn next(&mut self, eof: bool) -> Option<Decoded> {
+        loop {
+            let (a, b) = match self.cut_line(eof) {
+                Ok(Some(range)) => range,
+                Ok(None) if !eof => return None,
+                Ok(None) if self.batch.is_some() => {
+                    return Some(Decoded::Close(CloseReason::TruncatedBatch))
+                }
+                Ok(None) => return Some(Decoded::Close(CloseReason::Eof)),
+                Err(msg) => return Some(Decoded::Err(msg, Some(CloseReason::OversizedLine))),
+            };
+            let Ok(line) = std::str::from_utf8(&self.buf[a..b]) else {
+                // The spelling (and close) a `read_line` on this stream
+                // has always produced.
+                let msg = "stream did not contain valid UTF-8".to_string();
+                return Some(Decoded::Err(msg, Some(CloseReason::OversizedLine)));
+            };
+            if let Some(body) = &mut self.batch {
+                match parse_batch_op(line.trim()) {
+                    Ok(op) => body.ops.push(op),
+                    Err(msg) => body.bad = body.bad.take().or(Some(msg)),
+                }
+                body.owed -= 1;
+                if body.owed > 0 {
+                    continue;
+                }
+                let body = self.batch.take().expect("collecting a batch");
+                return Some(match body.bad {
+                    Some(msg) => Decoded::Err(msg, None),
+                    None => Decoded::Request(Request::Ops(body.ops)),
+                });
+            }
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            match parse_request(line) {
+                Ok(Request::Batch(0)) => return Some(Decoded::Request(Request::Ops(Vec::new()))),
+                Ok(Request::Batch(k)) => {
+                    let ops = Vec::with_capacity(k.min(1 << 16));
+                    self.batch = Some(BatchBody { owed: k, ops, bad: None });
+                }
+                Ok(req) => return Some(Decoded::Request(req)),
+                // A rejected `B` header is a framing error: the peer is
+                // about to stream body lines that cannot be delimited, so
+                // reading them as top-level requests would both execute a
+                // rejected batch and desynchronize every later reply.
+                Err(msg) if line.split_whitespace().next() == Some("B") => {
+                    return Some(Decoded::Err(msg, Some(CloseReason::BadBatchHeader)))
+                }
+                Err(msg) => return Some(Decoded::Err(msg, None)),
+            }
         }
-        let mut q = self.queue.lock();
-        if q.len() >= self.cap {
-            drop(q);
-            self.dead.store(true, Ordering::Release);
-            self.overflow.store(true, Ordering::Release);
-            let _ = self.stream.shutdown(std::net::Shutdown::Both);
-            self.cv.notify_all();
-            return false;
-        }
-        q.push_back(*ev);
-        drop(q);
-        self.cv.notify_all();
-        true
     }
 }
 
-/// Writes one `! EVT …` push line (the grammar in the module table).
-fn write_evt_line(w: &mut BufWriter<TcpStream>, ev: &SubEvent) -> std::io::Result<()> {
+/// The text codec's output half: appends the reply line(s) answering a
+/// request whose verb ([`Request::verb`]) is `verb`.
+pub(crate) fn encode_text_reply(verb: &str, reply: &Reply, out: &mut Vec<u8>) {
+    write_text_reply(verb, reply, out).expect("writing to a Vec cannot fail");
+}
+
+fn write_text_reply(verb: &str, reply: &Reply, out: &mut Vec<u8>) -> std::io::Result<()> {
+    match reply {
+        Reply::Err(msg) => writeln!(out, "ERR {msg}"),
+        Reply::Ok => match verb {
+            "PING" => writeln!(out, "PONG"),
+            "SHUTDOWN" => writeln!(out, "BYE"),
+            _ => writeln!(out, "OK"),
+        },
+        // Exactly one bit, always: pre-QG clients parse this.
+        Reply::Bit(c) => writeln!(out, "{}", u8::from(*c)),
+        // Staleness honesty: an answer served from a sealed generation
+        // names it (the tag was read atomically with the answer).
+        Reply::BitGen(c, Some(generation)) => writeln!(out, "{} G {generation}", u8::from(*c)),
+        Reply::BitGen(c, None) => writeln!(out, "{}", u8::from(*c)),
+        Reply::Answers(answers) if answers.is_empty() => writeln!(out, "OK"),
+        Reply::Answers(answers) => {
+            out.extend_from_slice(b"OK ");
+            out.extend(answers.iter().map(|&(a, _)| if a { b'1' } else { b'0' }));
+            writeln!(out)
+        }
+        Reply::Value(v) => {
+            let tag = match verb {
+                "EPOCH" | "WAIT" => "E",
+                "QUIESCE" => "G",
+                "LABEL" => "L",
+                "COMPONENTS" => "C",
+                _ => "SNAP",
+            };
+            writeln!(out, "{tag} {v}")
+        }
+        Reply::Line(line) => {
+            let tag = match verb {
+                "ROLE" => "R",
+                "STATS" => "S",
+                _ => "W",
+            };
+            writeln!(out, "{tag} {line}")
+        }
+        Reply::Lines(lines) => {
+            for l in lines {
+                writeln!(out, "{l}")?;
+            }
+            writeln!(out, "# EOF")
+        }
+        Reply::Gen { generation, dirty, rebuilds, forest, nonforest, absent } => writeln!(
+            out,
+            "G {generation} dirty={} rebuilds={rebuilds} forest={forest} nonforest={nonforest} \
+             absent={absent}",
+            u8::from(*dirty)
+        ),
+        Reply::Topk { epoch, generation, sealed, entries } => {
+            let sealed = u8::from(*sealed);
+            write!(out, "K k={} epoch={epoch} gen={generation} sealed={sealed}", entries.len())?;
+            for (root, size) in entries {
+                write!(out, " {root}:{size}")?;
+            }
+            writeln!(out)
+        }
+        Reply::Hist { epoch, generation, sealed, components, buckets } => {
+            let sealed = u8::from(*sealed);
+            write!(
+                out,
+                "H components={components} epoch={epoch} gen={generation} sealed={sealed}"
+            )?;
+            for (b, &count) in buckets.iter().enumerate() {
+                if count > 0 {
+                    write!(out, " {b}:{count}")?;
+                }
+            }
+            writeln!(out)
+        }
+        Reply::Size { size, root } => writeln!(out, "Z {size} root={root}"),
+        Reply::Subscribed { id, epoch } => writeln!(out, "S {id} {epoch}"),
+    }
+}
+
+/// Spells one `! EVT …` push line (the grammar in the module table).
+pub(crate) fn encode_text_event(ev: &SubEvent) -> Vec<u8> {
     match ev.kind {
-        SubKind::Pair => writeln!(
-            w,
-            "! EVT {} {} {} {} PAIR {} {} root={} size={}",
+        SubKind::Pair => format!(
+            "! EVT {} {} {} {} PAIR {} {} root={} size={}\n",
             ev.id, ev.seq, ev.epoch, ev.generation, ev.u, ev.v, ev.root, ev.size
         ),
-        SubKind::Component => writeln!(
-            w,
-            "! EVT {} {} {} {} COMPONENT {} root={} size={}",
+        SubKind::Component => format!(
+            "! EVT {} {} {} {} COMPONENT {} root={} size={}\n",
             ev.id, ev.seq, ev.epoch, ev.generation, ev.v, ev.root, ev.size
         ),
     }
-}
-
-/// The per-connection pusher thread: drains the sink's queue and writes
-/// `! EVT` lines under the shared writer lock, so pushes interleave with
-/// replies only at line boundaries (never inside a multi-line dump).
-fn run_pusher(sink: &TextSink, writer: &Mutex<BufWriter<TcpStream>>) {
-    let mut batch: Vec<SubEvent> = Vec::new();
-    loop {
-        {
-            let mut q = sink.queue.lock();
-            while q.is_empty() {
-                if sink.dead.load(Ordering::Acquire) {
-                    return;
-                }
-                sink.cv.wait_for(&mut q, Duration::from_millis(100));
-            }
-            batch.extend(q.drain(..));
-        }
-        let mut w = writer.lock();
-        for ev in batch.drain(..) {
-            if write_evt_line(&mut w, &ev).is_err() {
-                sink.dead.store(true, Ordering::Release);
-                return;
-            }
-        }
-        if w.flush().is_err() {
-            sink.dead.store(true, Ordering::Release);
-            return;
-        }
-    }
-}
-
-/// One text connection's subscription state: the shared sink (created
-/// lazily on the first `SUB`/`SUB ATTACH`), its pusher thread, and the
-/// ids bound to this connection for teardown.
-struct SubConnState {
-    stream: TcpStream,
-    cap: usize,
-    sink: Option<Arc<TextSink>>,
-    pusher: Option<std::thread::JoinHandle<()>>,
-    subs: Vec<(u64, bool)>,
-}
-
-impl SubConnState {
-    fn ensure_sink(
-        &mut self,
-        writer: &Arc<Mutex<BufWriter<TcpStream>>>,
-    ) -> std::io::Result<Arc<TextSink>> {
-        if let Some(s) = &self.sink {
-            return Ok(Arc::clone(s));
-        }
-        let sink = Arc::new(TextSink {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cap: self.cap,
-            dead: AtomicBool::new(false),
-            overflow: AtomicBool::new(false),
-            stream: self.stream.try_clone()?,
-        });
-        let psink = Arc::clone(&sink);
-        let pwriter = Arc::clone(writer);
-        self.pusher = Some(
-            std::thread::Builder::new()
-                .name("cc-sub-push".into())
-                .spawn(move || run_pusher(&psink, &pwriter))?,
-        );
-        self.sink = Some(Arc::clone(&sink));
-        Ok(sink)
-    }
-}
-
-/// Serves one text-protocol connection to completion. `prefix` replays
-/// the bytes the event-loop shard consumed while sniffing the protocol,
-/// so the handoff is invisible to the peer. A read timing out (the
-/// configured per-connection idle timeout, armed via `SO_RCVTIMEO` by
-/// the shard before handoff) closes with a typed `idle-timeout` reason.
-/// `sub_queue_cap` bounds the per-connection subscription push queue
-/// ([`crate::evloop::NetConfig::sub_queue_cap`]).
-pub(crate) fn handle_connection(
-    stream: TcpStream,
-    prefix: Vec<u8>,
-    client: &Client,
-    shared: &ServerShared,
-    sub_queue_cap: usize,
-) -> std::io::Result<()> {
-    let obs = client.observability();
-    let mut guard = ConnGuard::new(Arc::clone(&obs));
-    let reader =
-        BufReader::new(std::io::Read::chain(std::io::Cursor::new(prefix), stream.try_clone()?));
-    let writer = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
-    let mut st =
-        SubConnState { stream, cap: sub_queue_cap, sink: None, pusher: None, subs: Vec::new() };
-    let res = serve_text(reader, &writer, client, shared, &obs, &mut guard, &mut st);
-    // Subscription teardown: ephemeral subscriptions die with the
-    // connection; durable ones detach and keep retaining for a later
-    // `SUB ATTACH`.
-    for (id, durable) in st.subs.drain(..) {
-        if durable {
-            client.detach_sub(id);
-        } else {
-            let _ = client.unsubscribe(id);
-        }
-    }
-    if let Some(sink) = st.sink.take() {
-        sink.dead.store(true, Ordering::Release);
-        sink.cv.notify_all();
-        if sink.overflow.load(Ordering::Acquire) {
-            guard.reason = CloseReason::SubOverflow;
-        }
-    }
-    if let Some(h) = st.pusher.take() {
-        let _ = h.join();
-    }
-    res
-}
-
-/// The request/reply loop of [`handle_connection`]. The writer is
-/// behind a mutex shared with the pusher thread; it is locked per
-/// request (after the line is read, so an idle connection never starves
-/// event pushes) and replies flush before the lock drops, keeping the
-/// reply-then-event order observable client-side.
-fn serve_text(
-    mut reader: BufReader<std::io::Chain<std::io::Cursor<Vec<u8>>, TcpStream>>,
-    writer: &Arc<Mutex<BufWriter<TcpStream>>>,
-    client: &Client,
-    shared: &ServerShared,
-    obs: &Arc<Obs>,
-    guard: &mut ConnGuard,
-    st: &mut SubConnState,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    loop {
-        match read_bounded_line(&mut reader, &mut line) {
-            Ok(0) => {
-                guard.reason = CloseReason::Eof;
-                return Ok(());
-            }
-            Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                guard.reason = CloseReason::OversizedLine;
-                let mut w = writer.lock();
-                write_err(&mut w, obs, e)?;
-                return w.flush();
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                guard.reason = CloseReason::IdleTimeout;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse_request(line.trim());
-        if parsed.is_ok() {
-            // Count by verb only once the line parsed: a request that
-            // never was one shows up in `request_errors_total` instead.
-            if let Some(verb) = line.split_whitespace().next() {
-                obs.metrics.record_request(verb);
-            }
-        }
-        let mut w = writer.lock();
-        match parsed {
-            Err(msg) => {
-                write_err(&mut w, obs, msg)?;
-                // A rejected `B` header is a framing error: the peer is
-                // about to stream body lines we cannot delimit, so
-                // interpreting them as top-level requests would both
-                // execute a rejected batch and desynchronize every later
-                // reply. Close instead.
-                if line.split_whitespace().next() == Some("B") {
-                    guard.reason = CloseReason::BadBatchHeader;
-                    return w.flush();
-                }
-            }
-            Ok(Request::Insert(u, v)) => match client.insert(u, v) {
-                Ok(()) => writeln!(w, "OK")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Delete(u, v)) => match client.delete(u, v) {
-                Ok(()) => writeln!(w, "OK")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Query(u, v)) => match client.query(u, v) {
-                // Exactly one bit, always: pre-QG clients parse this.
-                Ok(c) => writeln!(w, "{}", u8::from(c))?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::QueryGen(u, v)) => match client.query_gen(u, v) {
-                // Staleness honesty: when the answer came from a sealed
-                // generation the reply names it; the tag was decided
-                // under the same lock as the answer, so a seal or commit
-                // racing this request can never mislabel it.
-                Ok((c, Some(generation))) => writeln!(w, "{} G {generation}", u8::from(c))?,
-                Ok((c, None)) => writeln!(w, "{}", u8::from(c))?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Batch(k)) => {
-                let mut ops = Vec::with_capacity(k.min(1 << 16));
-                let mut bad: Option<String> = None;
-                for _ in 0..k {
-                    match read_bounded_line(&mut reader, &mut line) {
-                        Ok(0) => {
-                            // Truncated batch: peer went away.
-                            guard.reason = CloseReason::TruncatedBatch;
-                            return Ok(());
-                        }
-                        Ok(_) => {}
-                        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                            // Oversized body line: the batch framing is
-                            // unrecoverable, same as a rejected header.
-                            guard.reason = CloseReason::OversizedLine;
-                            write_err(&mut w, obs, e)?;
-                            return w.flush();
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            guard.reason = CloseReason::IdleTimeout;
-                            return Ok(());
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    match parse_batch_op(line.trim()) {
-                        Ok(op) => ops.push(op),
-                        Err(msg) => bad = bad.or(Some(msg)),
-                    }
-                }
-                if let Some(msg) = bad {
-                    write_err(&mut w, obs, msg)?;
-                } else {
-                    match client.submit(ops) {
-                        Ok(answers) => {
-                            let bits: String =
-                                answers.iter().map(|&a| if a { '1' } else { '0' }).collect();
-                            if bits.is_empty() {
-                                writeln!(w, "OK")?;
-                            } else {
-                                writeln!(w, "OK {bits}")?;
-                            }
-                        }
-                        Err(e) => write_err(&mut w, obs, e)?,
-                    }
-                }
-            }
-            Ok(Request::Label(v)) => match client.current_label(v) {
-                Ok(l) => writeln!(w, "L {l}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Components) => writeln!(w, "C {}", client.num_components())?,
-            Ok(Request::Topk(k)) => {
-                let (items, epoch, generation, sealed) = client.topk(k);
-                let mut reply = format!(
-                    "K k={} epoch={epoch} gen={generation} sealed={}",
-                    items.len(),
-                    u8::from(sealed)
-                );
-                for (root, size) in items {
-                    reply.push_str(&format!(" {root}:{size}"));
-                }
-                writeln!(w, "{reply}")?;
-            }
-            Ok(Request::Hist) => {
-                let view = client.analytics();
-                let mut reply = format!(
-                    "H components={} epoch={} gen={} sealed={}",
-                    view.components,
-                    view.epoch,
-                    view.generation,
-                    u8::from(view.sealed)
-                );
-                for (b, &count) in view.hist.iter().enumerate() {
-                    if count > 0 {
-                        reply.push_str(&format!(" {b}:{count}"));
-                    }
-                }
-                writeln!(w, "{reply}")?;
-            }
-            Ok(Request::Size(v)) => match client.component_size(v) {
-                Ok((root, size)) => writeln!(w, "Z {size} root={root}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Epoch) => writeln!(w, "E {}", client.epoch())?,
-            Ok(Request::Wait(epoch, timeout_ms)) => {
-                match client.wait_for_epoch(epoch, Duration::from_millis(timeout_ms)) {
-                    Ok(at) => writeln!(w, "E {at}")?,
-                    Err(e) => write_err(&mut w, obs, e)?,
-                }
-            }
-            Ok(Request::Gen) => {
-                let info = client.generation_info();
-                writeln!(
-                    w,
-                    "G {} dirty={} rebuilds={} forest={} nonforest={} absent={}",
-                    info.generation,
-                    u8::from(info.dirty),
-                    info.counters.rebuilds,
-                    info.counters.deletes_forest,
-                    info.counters.deletes_nonforest,
-                    info.counters.deletes_absent,
-                )?;
-            }
-            Ok(Request::Quiesce(timeout_ms)) => {
-                match client.quiesce(Duration::from_millis(timeout_ms)) {
-                    Ok(generation) => writeln!(w, "G {generation}")?,
-                    Err(e) => write_err(&mut w, obs, e)?,
-                }
-            }
-            Ok(Request::Role) => writeln!(w, "R {}", client.role())?,
-            Ok(Request::Stats) => writeln!(w, "S {}", client.stats())?,
-            Ok(Request::Flush) => match client.flush_wal() {
-                Ok(()) => writeln!(w, "OK")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Snapshot) => match client.durable_snapshot() {
-                Ok(epoch) => writeln!(w, "SNAP {epoch}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::WalStats) => match client.wal_stats() {
-                Ok(s) => writeln!(w, "W {s}")?,
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Metrics) => {
-                for l in client.render_metrics() {
-                    writeln!(w, "{l}")?;
-                }
-                writeln!(w, "# EOF")?;
-            }
-            Ok(Request::Trace(n)) => {
-                for l in client.trace_events(n) {
-                    writeln!(w, "{l}")?;
-                }
-                writeln!(w, "# EOF")?;
-            }
-            Ok(Request::Sub { component, u, v, durable }) => match st.ensure_sink(writer) {
-                Err(e) => write_err(&mut w, obs, e)?,
-                Ok(sink) => {
-                    let kind = if component { SubKind::Component } else { SubKind::Pair };
-                    match client.subscribe(kind, u, v, durable, Some(sink as Arc<dyn SubSink>)) {
-                        Ok((id, epoch)) => {
-                            st.subs.push((id, durable));
-                            writeln!(w, "S {id} {epoch}")?;
-                        }
-                        Err(e) => write_err(&mut w, obs, e)?,
-                    }
-                }
-            },
-            Ok(Request::SubAttach { id, after_seq }) => match st.ensure_sink(writer) {
-                Err(e) => write_err(&mut w, obs, e)?,
-                Ok(sink) => match client.attach_sub(id, after_seq, sink as Arc<dyn SubSink>) {
-                    Ok(_last_seq) => {
-                        st.subs.push((id, true));
-                        writeln!(w, "S {id} {}", client.epoch())?;
-                    }
-                    Err(e) => write_err(&mut w, obs, e)?,
-                },
-            },
-            Ok(Request::Unsub(id)) => match client.unsubscribe(id) {
-                Ok(()) => {
-                    st.subs.retain(|&(sid, _)| sid != id);
-                    writeln!(w, "OK")?;
-                }
-                Err(e) => write_err(&mut w, obs, e)?,
-            },
-            Ok(Request::Subs) => {
-                for s in client.subs_info() {
-                    let kind = match s.kind {
-                        SubKind::Pair => "PAIR",
-                        SubKind::Component => "COMPONENT",
-                    };
-                    writeln!(
-                        w,
-                        "{} {} {} {} {} {} {}",
-                        s.id,
-                        kind,
-                        s.u,
-                        s.v,
-                        s.registered_epoch,
-                        u8::from(s.durable),
-                        u8::from(s.fired)
-                    )?;
-                }
-                writeln!(w, "# EOF")?;
-            }
-            Ok(Request::Ping) => writeln!(w, "PONG")?,
-            Ok(Request::Quit) => {
-                guard.reason = CloseReason::Quit;
-                return w.flush();
-            }
-            Ok(Request::Shutdown) => {
-                writeln!(w, "BYE")?;
-                w.flush()?;
-                shared.request_shutdown();
-                guard.reason = CloseReason::Shutdown;
-                return Ok(());
-            }
-        }
-        w.flush()?;
-    }
+    .into_bytes()
 }
 
 /// A blocking client for the line protocol, used by the load generator,
@@ -1526,6 +1305,104 @@ mod tests {
             }
         }
         assert!(parse_request("NOPE").unwrap_err().starts_with("unknown command"));
+    }
+
+    /// Feeds `input` in `chunk`-byte pieces, then ends it; collects every
+    /// decoded item up to the first one that closes the connection.
+    fn decode_all(input: &[u8], chunk: usize) -> Vec<Decoded> {
+        let mut asm = LineAssembler::default();
+        let mut pieces = input.chunks(chunk);
+        let mut out = Vec::new();
+        loop {
+            let piece = pieces.next();
+            if let Some(piece) = piece {
+                asm.push(piece);
+            }
+            while let Some(d) = asm.next(piece.is_none()) {
+                let closes = matches!(d, Decoded::Close(_) | Decoded::Err(_, Some(_)));
+                out.push(d);
+                if closes {
+                    return out;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_assembler_cuts_requests_at_any_chunking() {
+        let input = b"I 1 2\n\n  Q 1 2\r\nB 2\nI 2 3\nQ 1 3\nB 0\nB 1\nX 1 2\nNOPE\nPING";
+        let want = vec![
+            Decoded::Request(Request::Insert(1, 2)),
+            Decoded::Request(Request::Query(1, 2)),
+            Decoded::Request(Request::Ops(vec![Update::Insert(2, 3), Update::Query(1, 3)])),
+            Decoded::Request(Request::Ops(Vec::new())),
+            Decoded::Err("batch op must be `I u v`, `D u v`, or `Q u v`".into(), None),
+            Decoded::Err("unknown command \"NOPE\"".into(), None),
+            // The final unterminated line still counts at end of input.
+            Decoded::Request(Request::Ping),
+            Decoded::Close(CloseReason::Eof),
+        ];
+        for chunk in [1, 2, 3, 7, input.len()] {
+            assert_eq!(decode_all(input, chunk), want, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn line_assembler_framing_errors_close() {
+        let truncated = decode_all(b"B 3\nI 1 2\n", 1);
+        assert_eq!(truncated, vec![Decoded::Close(CloseReason::TruncatedBatch)]);
+        let header = decode_all(b"B x\nI 1 2\n", 4);
+        assert_eq!(
+            header,
+            vec![Decoded::Err(
+                "argument is not a 32-bit unsigned integer".into(),
+                Some(CloseReason::BadBatchHeader)
+            )]
+        );
+        let oversized = format!("Q {}\n", "1".repeat(MAX_LINE_BYTES));
+        let closes = Some(CloseReason::OversizedLine);
+        let too_long = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+        assert_eq!(decode_all(oversized.as_bytes(), 4096), vec![Decoded::Err(too_long, closes)]);
+        // Exactly at the cap (terminator included) is still a line.
+        let fits = format!("PING{}\n", " ".repeat(MAX_LINE_BYTES - 5));
+        assert_eq!(decode_all(fits.as_bytes(), 1000)[0], Decoded::Request(Request::Ping));
+        let utf8 = decode_all(b"Q \xff 1\n", 3);
+        let msg = "stream did not contain valid UTF-8".to_string();
+        assert_eq!(utf8, vec![Decoded::Err(msg, Some(CloseReason::OversizedLine))]);
+    }
+
+    #[test]
+    fn text_reply_spellings() {
+        let spell = |verb: &str, reply: Reply| {
+            let mut out = Vec::new();
+            encode_text_reply(verb, &reply, &mut out);
+            String::from_utf8(out).expect("ascii")
+        };
+        assert_eq!(spell("PING", Reply::Ok), "PONG\n");
+        assert_eq!(spell("SHUTDOWN", Reply::Ok), "BYE\n");
+        assert_eq!(spell("I", Reply::Ok), "OK\n");
+        assert_eq!(spell("Q", Reply::Bit(true)), "1\n");
+        assert_eq!(spell("QG", Reply::BitGen(false, Some(4))), "0 G 4\n");
+        assert_eq!(spell("B", Reply::Answers(vec![])), "OK\n");
+        assert_eq!(spell("B", Reply::Answers(vec![(true, None), (false, Some(1))])), "OK 10\n");
+        assert_eq!(spell("WAIT", Reply::Value(9)), "E 9\n");
+        assert_eq!(spell("QUIESCE", Reply::Value(2)), "G 2\n");
+        assert_eq!(spell("LABEL", Reply::Value(5)), "L 5\n");
+        assert_eq!(spell("COMPONENTS", Reply::Value(7)), "C 7\n");
+        assert_eq!(spell("SNAPSHOT", Reply::Value(3)), "SNAP 3\n");
+        assert_eq!(spell("ROLE", Reply::Line("primary".into())), "R primary\n");
+        assert_eq!(spell("METRICS", Reply::Lines(vec!["a 1".into()])), "a 1\n# EOF\n");
+        assert_eq!(spell("SIZE", Reply::Size { size: 4, root: 2 }), "Z 4 root=2\n");
+        assert_eq!(spell("SUB", Reply::Subscribed { id: 1, epoch: 8 }), "S 1 8\n");
+        assert_eq!(spell("Q", Reply::Err("boom".into())), "ERR boom\n");
+        let hist = Reply::Hist {
+            epoch: 1,
+            generation: 0,
+            sealed: false,
+            components: 3,
+            buckets: vec![2, 0, 1],
+        };
+        assert_eq!(spell("HIST", hist), "H components=3 epoch=1 gen=0 sealed=0 0:2 2:1\n");
     }
 
     #[test]

@@ -9,8 +9,8 @@ use cc_server::{
 };
 use cc_unionfind::{FindKind, SeqUnionFind, SpliceKind, UfSpec, UniteKind};
 use connectit::Update;
-use std::io::{BufRead, BufReader, Read};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -299,6 +299,67 @@ fn tcp_protocol_end_to_end() {
     c.shutdown_server().expect("shutdown");
     server.wait_shutdown();
     svc.shutdown();
+}
+
+/// Reads one reply line off a raw text connection.
+fn read_text_line(r: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    r.read_line(&mut line).expect("read");
+    line.trim_end().to_string()
+}
+
+/// Pipelined text lines keep program order on one connection: replies
+/// come back in request order, a read sees the connection's earlier
+/// writes, and a write acknowledged on one connection is visible to the
+/// next read on another. The lines go out in one write, then (against a
+/// fresh server) split byte by byte.
+#[test]
+fn tcp_text_pipelined_lines_keep_program_order() {
+    let script = "I 1 2\nQ 1 2\nB 2\nI 2 3\nQ 1 3\nMETRICS\nQG 1 3\nPING\n";
+    for bytewise in [false, true] {
+        let mut svc = Service::start(ServiceConfig {
+            n: 64,
+            shards: 2,
+            batch_max_wait: Duration::from_micros(50),
+            ..ServiceConfig::default()
+        })
+        .expect("service");
+        let mut server = serve(&svc, "127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+        let mut w = stream.try_clone().expect("clone");
+        let mut r = BufReader::new(stream);
+        if bytewise {
+            for b in script.bytes() {
+                w.write_all(&[b]).expect("write");
+                w.flush().expect("flush");
+            }
+        } else {
+            w.write_all(script.as_bytes()).expect("write");
+        }
+        assert_eq!(read_text_line(&mut r), "OK", "bytewise={bytewise}");
+        assert_eq!(read_text_line(&mut r), "1", "bytewise={bytewise}");
+        assert_eq!(read_text_line(&mut r), "OK 1", "bytewise={bytewise}");
+        // The batch is acknowledged: another connection must see it.
+        let mut other = TcpClient::connect(addr).expect("connect");
+        assert!(other.query(1, 3).expect("query"), "bytewise={bytewise}");
+        let mut dump = Vec::new();
+        loop {
+            let line = read_text_line(&mut r);
+            if line == "# EOF" {
+                break;
+            }
+            assert!(line.starts_with("connectit_") || line.starts_with("# TYPE "), "{line:?}");
+            dump.push(line);
+        }
+        assert!(!dump.is_empty(), "METRICS dump must not be empty");
+        assert_eq!(read_text_line(&mut r), "1", "bytewise={bytewise}");
+        assert_eq!(read_text_line(&mut r), "PONG", "bytewise={bytewise}");
+        server.stop();
+        svc.shutdown();
+    }
 }
 
 #[test]
